@@ -19,6 +19,7 @@
  *   run_all --only fig1     # run benches whose name contains "fig1"
  *   run_all --list          # print the known bench names and exit
  *   run_all --out DIR       # write BENCH_run_all.json into DIR
+ *                           # (created, with parents, before any run)
  *   run_all --config TEXT   # key=value config text forwarded to every
  *                           # bench via DS_CONFIG (see sim/config_text.h)
  *   run_all --jobs N        # sweep worker threads (overrides DS_JOBS)
@@ -123,6 +124,7 @@ usage(const char *prog)
            "  --only SUBSTR    run benches whose name contains SUBSTR\n"
            "  --list           print the known bench names and exit\n"
            "  --out DIR        write BENCH_run_all.json into DIR\n"
+           "                   (created, with parents, before any run)\n"
            "  --config TEXT    key=value config text forwarded to every\n"
            "                   bench via DS_CONFIG\n"
            "  --jobs N         sweep worker threads (overrides DS_JOBS)\n"
@@ -1163,6 +1165,19 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 2;
         }
+    }
+
+    // Create the output directory before any phase runs, so a sweep
+    // whose record could not be written never starts.
+    std::error_code out_ec;
+    fs::create_directories(out_dir, out_ec);
+    if (out_ec || !fs::is_directory(out_dir, out_ec)) {
+        std::cerr << "cannot create output directory '" << out_dir
+                  << "'";
+        if (out_ec)
+            std::cerr << ": " << out_ec.message();
+        std::cerr << "\n";
+        return 2;
     }
 
     if (!merge_dir.empty())

@@ -1,7 +1,6 @@
 #include "fault/fault_plane.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <utility>
 
@@ -138,7 +137,6 @@ FaultPlane::FaultPlane(const FaultConfig &config, unsigned n_channels)
         st.spares.reserve(cfg.spareCells);
         for (std::uint32_t s = 0; s < cfg.spareCells; ++s)
             st.spares.push_back(cells + s);
-        st.peekExtraUses.assign(st.pool.size(), 0);
     }
 }
 
@@ -243,42 +241,6 @@ FaultPlane::onRound(unsigned channel, bool demand_waiting)
         st.consecDiscards = 0;
     }
     return false;
-}
-
-void
-FaultPlane::commitRound(unsigned channel)
-{
-    ChannelState &st = channels[channel];
-    Cell &c = st.pool[st.pointer];
-    const Audit a = evalRound(channel, c, c.useCount);
-    assert(a.pass && "fast-forward replayed a failing round");
-    c.useCount++;
-    st.pointer = (st.pointer + 1) % st.pool.size();
-    counters.roundsAudited++;
-    counters.corruptedBits += a.flips;
-    st.consecDiscards = 0;
-}
-
-void
-FaultPlane::beginPeek()
-{
-    for (ChannelState &st : channels) {
-        st.peekPointer = st.pointer;
-        st.peekExtraUses.assign(st.pool.size(), 0);
-    }
-}
-
-bool
-FaultPlane::peekRound(unsigned channel)
-{
-    ChannelState &st = channels[channel];
-    const std::size_t idx = st.peekPointer;
-    const Cell &c = st.pool[idx];
-    const Audit a =
-        evalRound(channel, c, c.useCount + st.peekExtraUses[idx]);
-    st.peekExtraUses[idx]++;
-    st.peekPointer = (st.peekPointer + 1) % st.pool.size();
-    return a.pass;
 }
 
 unsigned

@@ -10,12 +10,9 @@
  * onto screened spares, with a bounded retry-then-refill escalation
  * when demand is waiting.
  *
- * Fast-forward contract: whether a round passes is a pure function of
- * the cell rotation state, so the plane exposes a side-effect-free peek
- * protocol (beginPeek/peekRound) for horizon queries — a *failing*
- * round is a span-ending event, which keeps every skipped span
- * discard-free and lets commitRound() replay skipped passing rounds
- * with mutations bit-identical to the tick path.
+ * Fast-forward contract: while a plane is configured, the controller's
+ * event horizon ends every span at the next round completion, so each
+ * round is audited exactly once, by onRound() in a normal tick.
  */
 
 #ifndef DSTRANGE_FAULT_FAULT_PLANE_H
@@ -86,22 +83,6 @@ class FaultPlane
      */
     bool onRound(unsigned channel, bool demand_waiting);
 
-    /**
-     * Replay one *passing* round skipped by fast-forward: identical
-     * mutations to the onRound() pass path. The caller guarantees the
-     * round passes (horizon queries end spans before failing rounds).
-     */
-    void commitRound(unsigned channel);
-
-    /** Reset peek scratch on every channel before a horizon probe. */
-    void beginPeek();
-
-    /**
-     * Probe whether @p channel's next unpeeked round passes, without
-     * mutating plane state. Successive calls walk successive rounds.
-     */
-    bool peekRound(unsigned channel);
-
     const FaultReport &stats() const { return counters; }
 
     /** Snapshot of the counters for WorkloadResult. */
@@ -133,9 +114,6 @@ class FaultPlane
         std::vector<std::uint32_t> spares; ///< Healthy remap targets.
         std::size_t pointer = 0;          ///< Next cell to use.
         unsigned consecDiscards = 0;      ///< Fails while demand waits.
-        // Peek scratch (side-effect-free horizon walk).
-        std::size_t peekPointer = 0;
-        std::vector<std::uint32_t> peekExtraUses;
     };
 
     struct Audit

@@ -198,8 +198,6 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         stagingBits = 0.0;
         rngJobs.push_back(job);
         ++productionV; // New front job possible; membership changed.
-        if (rngPolicy)
-            rngPolicy->noteJobsChanged();
         return true;
     }
 
@@ -267,8 +265,6 @@ MemoryController::routeBits(double bits, Cycle now)
             // The completed job *was* the predicted production event;
             // the next front job starts a new stream to model.
             ++productionV;
-            if (rngPolicy)
-                rngPolicy->noteJobsChanged();
         }
     }
     if (bits > 0.0 && buf)
@@ -565,17 +561,11 @@ MemoryController::tick(Cycle now)
     //    round's noteServed — fault pressure surfaces as RNG stall.
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
         const double bits = engines[ch]->tick(now);
-        if (bits > 0.0) {
-            if (!faultPlane ||
-                faultPlane->onRound(ch, !rngJobs.empty())) {
-                routeBits(bits, now);
-                if (rngPolicy)
-                    rngPolicy->noteServed(ch, QueueChoice::Rng);
-            } else {
-                // Discarded round: no bits routed, but the audit
-                // rotation (and possibly the blacklist) advanced.
-                ++productionV;
-            }
+        if (bits > 0.0 &&
+            (!faultPlane || faultPlane->onRound(ch, !rngJobs.empty()))) {
+            routeBits(bits, now);
+            if (rngPolicy)
+                rngPolicy->noteServed(ch, QueueChoice::Rng);
         }
     }
 
@@ -864,7 +854,7 @@ MemoryController::productionEventCycle(Cycle now, Cycle bound) const
     // advanced an integral number of rounds along the modeled stream.
     // Rounds completing inside the span — whether replayed by
     // fastForward() or ticked normally — are exactly the rounds the
-    // walk peeked, and routeBits() replicates the walk's arithmetic
+    // walk modeled, and routeBits() replicates the walk's arithmetic
     // bit for bit, so the predicted event survives them.
     const auto cacheValid = [&]() -> bool {
         if (prodCache.v != productionV + 1)
@@ -908,17 +898,12 @@ MemoryController::productionEventCycle(Cycle now, Cycle bound) const
         // crossing.
         double spare = 0.0;
         if (!jobs) {
-            // Without a fault plane, bufferless production is pure
-            // (staging absorbs everything); with one, rounds must still
-            // be walked so a failing audit ends the span.
-            if (!buf && !faultPlane)
+            // Bufferless production is pure: staging absorbs everything.
+            if (!buf)
                 return kNoEvent;
-            if (buf)
-                spare = buf->capacityBits() - buf->levelBits();
+            spare = buf->capacityBits() - buf->levelBits();
         }
 
-        if (faultPlane)
-            faultPlane->beginPeek();
         for (unsigned step = 0; step < kMaxProductionSteps; ++step) {
             std::size_t best = producerScratch.size();
             for (std::size_t i = 0; i < producerScratch.size(); ++i) {
@@ -929,12 +914,6 @@ MemoryController::productionEventCycle(Cycle now, Cycle bound) const
             Producer &p = producerScratch[best];
             if (p.next == kNoEvent)
                 return kNoEvent; // Every one-shot producer consumed.
-            // A round whose audit fails delivers nothing and mutates
-            // the health monitor — always a span-ending event. Peeked-
-            // and-passed rounds are exactly what fastForward() later
-            // commits.
-            if (faultPlane && !faultPlane->peekRound(p.ch))
-                return p.next;
             if (jobs) {
                 const double need = 64.0 - collected;
                 const double take = std::min(need, p.bits);
@@ -1021,14 +1000,18 @@ MemoryController::nextEventCycle(Cycle now) const
 
     if (producing) {
         collectProducers(now);
-        if (regular_prio) {
-            // Every round completion resets the RNG stall counter;
-            // while regular traffic is prioritized that counter is
-            // live, so the span must stop at the first completion.
+        if (regular_prio || faultPlane) {
+            // The span stops at the first round completion. While
+            // regular traffic is prioritized, every completion resets
+            // the live RNG stall counter; with a fault plane, every
+            // completion is an audit that onRound() performs in a tick.
+            // The production walk only considers those completions and
+            // later ones, so it could not end the span any earlier.
             for (const Producer &p : producerScratch)
                 ev = std::min(ev, p.next);
+        } else {
+            ev = std::min(ev, productionEventCycle(now, ev));
         }
-        ev = std::min(ev, productionEventCycle(now, ev));
         if (ev <= now)
             return now;
     }
@@ -1058,7 +1041,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
     // order (time, then channel index — the tick loop's order), routing
     // each completed round's bits through the normal path. The horizon
     // guarantees none of these completes the front job or fills the
-    // buffer.
+    // buffer, and that none is a round the fault plane must audit.
     collectProducers(from);
     if (!producerScratch.empty()) {
         // Switching-in engines also complete their (bit-less) switch
@@ -1085,10 +1068,8 @@ MemoryController::fastForward(Cycle from, Cycle to)
             else
                 eng.fastForwardPhases(1);
             if (round_end) {
-                // The horizon only spans peeked-and-passed rounds, so
-                // the commit mirrors the tick path's pass branch.
-                if (faultPlane)
-                    faultPlane->commitRound(p.ch);
+                assert(!faultPlane &&
+                       "a fault-audited round must complete in a tick");
 #ifndef NDEBUG
                 const std::size_t jobs_before = rngJobs.size();
 #endif

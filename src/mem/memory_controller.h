@@ -432,6 +432,8 @@ class MemoryController
      * a non-batchable effect: finishing the front RNG job, or the
      * deposit that makes the buffer full. kNoEvent when no such tick
      * exists below @p bound (earlier completions only accumulate).
+     * Only consulted when spans may cross round completions: no fault
+     * plane is configured and regular traffic is not prioritized.
      */
     Cycle productionEventCycle(Cycle now, Cycle bound) const;
 
@@ -502,9 +504,9 @@ class MemoryController
     /**
      * Version of the production-relevant state the producer walk reads
      * *besides* the producer snapshot itself: RNG-job membership and
-     * front-job fill level, buffer level, and fault-plane audit state.
-     * Bumped at every mutation of those (routeBits, RNG enqueue paths,
-     * direct buffer deposits/serves, discarded fault rounds).
+     * front-job fill level, and buffer level. Bumped at every mutation
+     * of those (routeBits, RNG enqueue paths, direct buffer
+     * deposits/serves).
      */
     std::uint64_t productionV = 0;
     /**

@@ -53,12 +53,7 @@ class RngAwarePolicy
     int priority(CoreId core) const { return priorities[core]; }
 
     /** Mark an application as an RNG application (sticky). */
-    void
-    markRngApp(CoreId core)
-    {
-        rngApp[core] = true;
-        ++stateV;
-    }
+    void markRngApp(CoreId core) { rngApp[core] = true; }
 
     bool isRngApp(CoreId core) const { return rngApp[core]; }
 
@@ -111,14 +106,6 @@ class RngAwarePolicy
     /** Reset the stall counter of the queue that just made progress. */
     void noteServed(unsigned channel, QueueChoice served);
 
-    /**
-     * Invalidate the memoized pressure classification. The controller
-     * calls this whenever RNG-queue *membership* changes (push/pop);
-     * bit-collection progress on the front job is irrelevant to
-     * pressure() and needs no notification.
-     */
-    void noteJobsChanged() { ++stateV; }
-
     /** Largest stall counter value ever reached (for tests/telemetry). */
     Cycle maxStallObserved() const { return maxStall; }
 
@@ -128,6 +115,8 @@ class RngAwarePolicy
      * counters each cycle: which counter choose() charges while it
      * keeps preferring the other queue, or None when the decision is
      * pure (at most one queue pending, or the old-RNG-drain rule).
+     * A pure function of both queues' membership and the priority
+     * tables; each call scans both queues.
      */
     enum class Pressure : std::uint8_t
     {
@@ -137,17 +126,6 @@ class RngAwarePolicy
     };
     Pressure pressure(const RequestQueue &read_queue,
                       const std::deque<RngJob> &rng_jobs) const;
-    /**
-     * Memoized pressure(): the classification only depends on the read
-     * queue's membership (its version), the RNG queue's membership
-     * (stateV, bumped by noteJobsChanged()), and the priority tables
-     * (stateV, bumped by setPriority()/markRngApp()). pressure() runs a
-     * full queue scan on every horizon probe of every channel, so the
-     * memo carries the bulk of the per-probe arbitration cost.
-     */
-    Pressure pressureCached(unsigned channel,
-                            const RequestQueue &read_queue,
-                            const std::deque<RngJob> &rng_jobs) const;
     /** The pure choice when no counter is charging. */
     QueueChoice pureChoice(const RequestQueue &read_queue,
                            const std::deque<RngJob> &rng_jobs) const;
@@ -163,17 +141,6 @@ class RngAwarePolicy
     };
     std::vector<StallCounters> stalls; ///< Per channel.
     Cycle maxStall = 0;
-
-    /** Version of (RNG-queue membership, priority tables). */
-    std::uint64_t stateV = 0;
-    struct PressureCache
-    {
-        const RequestQueue *queue = nullptr;
-        std::uint64_t queueV = 0;
-        std::uint64_t stateV = 0;
-        Pressure p = Pressure::None;
-    };
-    mutable std::vector<PressureCache> pcache; ///< Per channel.
 };
 
 } // namespace dstrange::mem

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "drstrange.h"
 #include "dram/dram_channel.h"
+#include "fault/fault_plane.h"
 #include "mem/bliss.h"
 #include "mem/fr_fcfs.h"
 #include "mem/rng_aware.h"
@@ -411,6 +413,62 @@ TEST(FastForwardHorizon, SystemSkipsAndClampsToStep)
     EXPECT_GT(sys.ffStats().skips, 0u);
     EXPECT_GT(sys.ffStats().skippedCycles,
               sys.ffStats().steppedCycles);
+}
+
+/** Tick cycle of the next round completion of any generating engine
+ *  (kNoEvent when no engine is in or switching into a round). */
+Cycle
+nextRoundCompletion(const mem::MemoryController &mc)
+{
+    Cycle next = kNoEvent;
+    for (unsigned ch = 0; ch < mc.numChannels(); ++ch) {
+        const trng::RngEngine &eng = mc.engine(ch);
+        if (eng.inRound())
+            next = std::min(next, eng.phaseEndCycle() - 1);
+        else if (eng.switchingIn())
+            next = std::min(next, eng.phaseEndCycle() +
+                                      eng.mechanism().roundLatency - 1);
+    }
+    return next;
+}
+
+TEST(FastForwardHorizon, FaultAuditedRoundsEndEverySpan)
+{
+    // With a fault plane every round completion is an audit that must
+    // run in a normal tick: no span may cross one, and each round the
+    // channels complete is audited exactly once.
+    sim::SimConfig cfg = sim::designConfig(sim::SystemDesign::DrStrange);
+    cfg.instrBudget = 30000;
+    cfg.fault.models = "bitflip,weak-cell,stuck-row";
+    cfg.fault.monitor = true;
+    for (const bool ff : {false, true}) {
+        SCOPED_TRACE(ff ? "fast-forward" : "step-1");
+        sim::System sys(cfg, makeTraces(cfg, "gcc", 5120.0));
+        sys.setFastForward(ff);
+        const fault::FaultPlane *plane = sys.mc().faultInjection();
+        ASSERT_NE(plane, nullptr);
+        unsigned violations = 0;
+        while (!sys.allFinished() && sys.busCycles() < 400000) {
+            const Cycle now = sys.busCycles();
+            const Cycle horizon = sys.nextEventCycle();
+            if (horizon > nextRoundCompletion(sys.mc()))
+                ++violations;
+            // Under fast-forward, jump straight to the horizon.
+            sys.step(ff && horizon > now + 1 ? horizon - now : 1);
+        }
+        EXPECT_TRUE(sys.allFinished());
+        EXPECT_EQ(violations, 0u);
+
+        std::uint64_t rounds = 0;
+        for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch)
+            rounds += sys.mc().channel(ch).energyCounters().rngRounds;
+        const fault::FaultReport &r = plane->stats();
+        EXPECT_GT(r.roundsDiscarded, 0u);
+        EXPECT_EQ(r.roundsAudited + r.roundsDiscarded, rounds);
+        if (ff) {
+            EXPECT_GT(sys.ffStats().skips, 0u);
+        }
+    }
 }
 
 TEST(FastForwardHorizon, DisabledMatchesLegacyStepping)

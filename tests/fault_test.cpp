@@ -2,8 +2,8 @@
  * @file
  * Tests for the deterministic fault-injection subsystem: golden seeded
  * fault streams per FaultRegistry key (pure-function corruption of the
- * synthetic audit blocks), FaultPlane determinism and its side-effect
- * free peek protocol, health-monitor blacklist convergence onto spares,
+ * synthetic audit blocks), FaultPlane determinism, health-monitor
+ * blacklist convergence onto spares,
  * fault.* / service.shed config-text and builder wiring with eager
  * registry validation, shed-policy admission behaviour, DS_LOCKSTEP
  * bit-identity across all nine design presets with faults active, and
@@ -188,7 +188,7 @@ TEST(FaultModels, StuckRowPinsTheBlock)
 }
 
 // ---------------------------------------------------------------------
-// FaultPlane: determinism, peek protocol, blacklist convergence.
+// FaultPlane: determinism, blacklist convergence.
 // ---------------------------------------------------------------------
 
 TEST(FaultPlane, RoundStreamIsDeterministic)
@@ -206,32 +206,6 @@ TEST(FaultPlane, RoundStreamIsDeterministic)
               r.discardsStuck + r.discardsWeak + r.discardsOther);
     EXPECT_GT(r.roundsAudited, 0u);
     EXPECT_GT(r.roundsDiscarded, 0u);
-}
-
-TEST(FaultPlane, PeekMatchesCommitWithoutMutating)
-{
-    const fault::FaultConfig fc =
-        faultedConfig("bitflip,weak-cell,stuck-row");
-    fault::FaultPlane plane(fc, 1);
-    fault::FaultPlane mirror(fc, 1);
-    for (int span = 0; span < 200; ++span) {
-        // Peek a run of rounds, then verify the tick path agrees.
-        const std::string before = plane.fingerprint();
-        plane.beginPeek();
-        std::vector<bool> peeked;
-        for (int i = 0; i < 5; ++i)
-            peeked.push_back(plane.peekRound(0));
-        EXPECT_EQ(plane.fingerprint(), before) << "peek mutated state";
-        for (const bool pass : peeked) {
-            EXPECT_EQ(plane.onRound(0, false), pass);
-            // commitRound() must replay passing rounds identically.
-            if (pass)
-                mirror.commitRound(0);
-            else
-                mirror.onRound(0, false);
-        }
-        EXPECT_EQ(plane.fingerprint(), mirror.fingerprint());
-    }
 }
 
 TEST(FaultPlane, MonitorBlacklistsAndConverges)
