@@ -2,13 +2,15 @@
  * @file
  * Component microbenchmarks (google-benchmark): per-operation costs of
  * the simulator's hot paths — address decode, scheduler pick, predictor
- * ops, RNG engine ticks, buffer ops, trace generation, and a whole
- * simulated bus cycle.
+ * ops, RNG engine ticks, buffer ops, trace generation, the TRNG round
+ * audit (monobit/runs tests, fault-plane rounds), and a whole simulated
+ * bus cycle.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "drstrange.h"
+#include "fault/fault_plane.h"
 #include "mem/bliss.h"
 #include "mem/fr_fcfs.h"
 
@@ -152,6 +154,56 @@ BM_EntropyWord(benchmark::State &state)
         benchmark::DoNotOptimize(src.next64());
 }
 BENCHMARK(BM_EntropyWord);
+
+/** 1024 distinct 32-byte audit-sized blocks: cycling through them keeps
+ *  the branch predictor from learning one block's bit pattern. */
+static std::vector<std::vector<std::uint8_t>>
+auditBlocks()
+{
+    trng::EntropySource src(3);
+    std::vector<std::vector<std::uint8_t>> blocks(1024);
+    for (auto &b : blocks)
+        b = src.nextBytes(32);
+    return blocks;
+}
+
+static void
+BM_MonobitTest32(benchmark::State &state)
+{
+    const auto blocks = auditBlocks();
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            trng::monobitTest(blocks[i++ % blocks.size()]));
+}
+BENCHMARK(BM_MonobitTest32);
+
+static void
+BM_RunsTest32(benchmark::State &state)
+{
+    const auto blocks = auditBlocks();
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            trng::runsTest(blocks[i++ % blocks.size()]));
+}
+BENCHMARK(BM_RunsTest32);
+
+/** One audited TRNG round: block synthesis, the three cell fault models
+ *  and both tests, with the health monitor on, over two channels. */
+static void
+BM_FaultPlaneRound(benchmark::State &state)
+{
+    fault::FaultConfig fc;
+    fc.models = "bitflip,weak-cell,stuck-row";
+    fault::FaultPlane plane(fc, 2);
+    unsigned i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(plane.onRound(i & 1, (i & 2) != 0));
+        ++i;
+    }
+}
+BENCHMARK(BM_FaultPlaneRound);
 
 static void
 BM_SystemBusCycle(benchmark::State &state)

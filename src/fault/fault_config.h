@@ -23,8 +23,7 @@ namespace dstrange::fault {
  * no injection, the default — a default-constructed config is inert and
  * bit-identical to the pre-fault simulator). Every injected fault is a
  * pure hash of (seed, channel, cell, per-cell use count), so runs are
- * reproducible and the fast-forward engine can replay tick-path
- * decisions bit-identically.
+ * reproducible and step-1 and fast-forward runs stay bit-identical.
  */
 struct FaultConfig
 {

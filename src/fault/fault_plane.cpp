@@ -165,8 +165,7 @@ FaultPlane::evalRound(unsigned channel, const Cell &cell,
     Audit a;
     for (const auto &m : models)
         a.flips += m->corrupt(block, ctx);
-    const std::vector<std::uint8_t> bytes(block.begin(), block.end());
-    a.pass = trng::monobitTest(bytes).pass && trng::runsTest(bytes).pass;
+    a.pass = trng::monobitTest(block).pass && trng::runsTest(block).pass;
     return a;
 }
 

@@ -1,5 +1,6 @@
 #include "fault/fault_registry.h"
 
+#include <bit>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -75,17 +76,19 @@ class BitflipModel final : public FaultModel
             static_cast<double>(mix64(base) >> 11) * 0x1.0p-53;
         std::uint64_t flips = whole + (u < frac ? 1 : 0);
         // XOR through a mask so colliding draws cancel and the returned
-        // count is the number of bits actually changed.
-        AuditBlock mask{};
+        // count is the number of bits actually changed. Block bit `pos`
+        // is bit pos % 64 of little-endian word pos / 64.
+        std::array<std::uint64_t, 4> mask{};
         for (std::uint64_t j = 0; j < flips; ++j) {
             const std::uint64_t pos = mix64(base ^ (j + 1)) & 255;
-            mask[pos >> 3] ^= static_cast<std::uint8_t>(1u << (pos & 7));
+            mask[pos >> 6] ^= 1ULL << (pos & 63);
         }
         std::uint64_t changed = 0;
-        for (unsigned i = 0; i < block.size(); ++i) {
-            block[i] ^= mask[i];
-            changed += static_cast<unsigned>(
-                __builtin_popcount(static_cast<unsigned>(mask[i])));
+        for (unsigned w = 0; w < mask.size(); ++w) {
+            if (mask[w] == 0)
+                continue;
+            storeWord(block, w, loadWord(block, w) ^ mask[w]);
+            changed += static_cast<std::uint64_t>(std::popcount(mask[w]));
         }
         return changed;
     }

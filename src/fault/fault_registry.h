@@ -3,9 +3,11 @@
  * String-keyed registry of composable fault models. A fault model is a
  * *pure* corruption of the 256-bit raw audit block a TRNG round exposes
  * to the health monitor: given the same RoundContext it must produce
- * the same corruption, because the fast-forward engine re-evaluates
- * rounds it skipped and the result has to match the tick path bit for
- * bit. Models listed in FaultConfig::models compose in list order.
+ * the same corruption. Each round is audited once, in a tick; purity is
+ * what keeps step-1, fast-forward and batch runs bit-identical (checked
+ * by DS_LOCKSTEP and the difftest harness) and lets a frozen golden in
+ * tests/fault_test.cpp pin the stream itself. Models listed in
+ * FaultConfig::models compose in list order.
  */
 
 #ifndef DSTRANGE_FAULT_FAULT_REGISTRY_H
@@ -35,7 +37,7 @@ enum class CellClass : std::uint8_t
 /**
  * Everything a fault model may consult for one round. Values only — a
  * model must stay a pure function of this context (no internal state),
- * which is what makes skipped-span replay deterministic.
+ * so a round's corruption does not depend on how the run got there.
  */
 struct RoundContext
 {

@@ -1,45 +1,78 @@
 #include "trng/bit_quality.h"
 
 #include <array>
-#include <cmath>
-
-#if defined(__has_include)
-#if __has_include(<bit>)
 #include <bit>
-#endif
-#endif
+#include <cmath>
+#include <cstring>
 
 namespace dstrange::trng {
 
 namespace {
 
-int
-popcount8(std::uint8_t b)
+/** @p n <= 8 stream bytes as a little-endian word: word bit j is bit
+ *  j % 8 of byte j / 8, i.e. stream order. */
+std::uint64_t
+loadLe(const std::uint8_t *p, std::size_t n)
 {
-#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
-    return std::popcount(b);
-#else
-    // Pre-C++20 toolchains lack std::popcount: SWAR count on one byte.
-    unsigned v = b;
-    v = v - ((v >> 1) & 0x55u);
-    v = (v & 0x33u) + ((v >> 2) & 0x33u);
-    return static_cast<int>((v + (v >> 4)) & 0x0Fu);
-#endif
+    std::uint64_t v = 0;
+    if (n == 8 && std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, 8);
+        return v;
+    }
+    for (std::size_t b = 0; b < n; ++b)
+        v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+    return v;
+}
+
+/** Call @p f(word, width) on each 64-bit word of the stream in order;
+ *  a final partial word has width 8 * (size % 8) and zero high bits. */
+template <typename F>
+void
+forEachWord(std::span<const std::uint8_t> bytes, F f)
+{
+    const std::size_t whole = bytes.size() / 8;
+    for (std::size_t w = 0; w < whole; ++w)
+        f(loadLe(bytes.data() + 8 * w, 8), 64u);
+    if (const std::size_t tail = bytes.size() % 8)
+        f(loadLe(bytes.data() + 8 * whole, tail),
+          static_cast<unsigned>(8 * tail));
 }
 
 std::uint64_t
-countOnes(const std::vector<std::uint8_t> &bytes)
+countOnes(std::span<const std::uint8_t> bytes)
 {
     std::uint64_t ones = 0;
-    for (std::uint8_t b : bytes)
-        ones += static_cast<std::uint64_t>(popcount8(b));
+    forEachWord(bytes, [&](std::uint64_t x, unsigned) {
+        ones += static_cast<std::uint64_t>(std::popcount(x));
+    });
     return ones;
+}
+
+/** Adjacent stream bits that differ. Inside a word, x ^ (x >> 1) marks
+ *  them (bit j compares bits j and j + 1); one more pair joins each
+ *  word to the next. */
+std::uint64_t
+countTransitions(std::span<const std::uint8_t> bytes)
+{
+    std::uint64_t transitions = 0;
+    // Last stream bit of the previous word, seeded with the first bit so
+    // the first word adds no boundary pair.
+    std::uint64_t carry = bytes.empty() ? 0 : bytes[0] & 1u;
+    forEachWord(bytes, [&](std::uint64_t x, unsigned width) {
+        const std::uint64_t inner =
+            (width == 64 ? ~0ULL : (1ULL << width) - 1) >> 1;
+        transitions +=
+            static_cast<std::uint64_t>(std::popcount((x ^ (x >> 1)) & inner)) +
+            (carry ^ (x & 1));
+        carry = x >> (width - 1);
+    });
+    return transitions;
 }
 
 } // namespace
 
 TestResult
-monobitTest(const std::vector<std::uint8_t> &bytes)
+monobitTest(std::span<const std::uint8_t> bytes)
 {
     TestResult res;
     const double n = static_cast<double>(bytes.size()) * 8.0;
@@ -52,22 +85,14 @@ monobitTest(const std::vector<std::uint8_t> &bytes)
 }
 
 TestResult
-runsTest(const std::vector<std::uint8_t> &bytes)
+runsTest(std::span<const std::uint8_t> bytes)
 {
     TestResult res;
     const std::size_t n_bits = bytes.size() * 8;
     if (n_bits < 2)
         return res;
 
-    auto bit_at = [&](std::size_t i) {
-        return (bytes[i / 8] >> (i % 8)) & 1;
-    };
-
-    std::uint64_t runs = 1;
-    for (std::size_t i = 1; i < n_bits; ++i)
-        if (bit_at(i) != bit_at(i - 1))
-            ++runs;
-
+    const std::uint64_t runs = 1 + countTransitions(bytes);
     const double n = static_cast<double>(n_bits);
     const double pi =
         static_cast<double>(countOnes(bytes)) / n; // fraction of ones

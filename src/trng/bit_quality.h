@@ -10,6 +10,7 @@
 #define DSTRANGE_TRNG_BIT_QUALITY_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dstrange::trng {
@@ -23,15 +24,17 @@ struct TestResult
 
 /**
  * Frequency (monobit) test: the fraction of ones should be ~0.5.
- * Passes when |z| < 3.29 (alpha ~ 0.001).
+ * Passes when |z| < 3.29 (alpha ~ 0.001). Bit i of the stream is bit
+ * i % 8 of byte i / 8.
  */
-TestResult monobitTest(const std::vector<std::uint8_t> &bytes);
+TestResult monobitTest(std::span<const std::uint8_t> bytes);
 
 /**
  * Runs test: the number of maximal same-bit runs should match the
- * expectation for an unbiased source. Passes when |z| < 3.29.
+ * expectation for an unbiased source. Passes when |z| < 3.29. Same bit
+ * order as monobitTest().
  */
-TestResult runsTest(const std::vector<std::uint8_t> &bytes);
+TestResult runsTest(std::span<const std::uint8_t> bytes);
 
 /**
  * Byte-level chi-square uniformity test over 256 bins. Passes when the

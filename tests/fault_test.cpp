@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -164,8 +165,8 @@ TEST(FaultModels, BitflipFlipsSilently)
         // The reported flip count matches the actual Hamming distance.
         std::uint64_t hamming = 0;
         for (std::size_t i = 0; i < b.size(); ++i)
-            hamming += static_cast<std::uint64_t>(
-                __builtin_popcount(b[i] ^ before[i]));
+            hamming += static_cast<std::uint64_t>(std::popcount(
+                static_cast<std::uint8_t>(b[i] ^ before[i])));
         EXPECT_EQ(flips, hamming);
     }
     EXPECT_GT(total, 0u);
@@ -206,6 +207,24 @@ TEST(FaultPlane, RoundStreamIsDeterministic)
               r.discardsStuck + r.discardsWeak + r.discardsOther);
     EXPECT_GT(r.roundsAudited, 0u);
     EXPECT_GT(r.roundsDiscarded, 0u);
+}
+
+// Frozen stream: step-1 vs fast-forward comparisons run the same code
+// twice, so a change to the block synthesis, the models or the audit
+// that alters both alike would pass them. This literal pins the stream
+// itself; it was captured before the word-level audit rewrite.
+TEST(FaultPlane, RoundStreamMatchesFrozenGolden)
+{
+    fault::FaultConfig fc = faultedConfig("bitflip,weak-cell,stuck-row");
+    fc.monitor = true;
+    fault::FaultPlane plane(fc, 2);
+    for (int i = 0; i < 20000; ++i)
+        plane.onRound(static_cast<unsigned>(i % 2), (i / 2) % 2 == 0);
+    EXPECT_EQ(plane.fingerprint(), "fault.audited=19932\n"
+                                   "fault.discarded=68\n"
+                                   "fault.corrupted=100370\n"
+                                   "fault.blacklisted=15\n"
+                                   "fault.state=3380a7cc9cf637b3\n");
 }
 
 TEST(FaultPlane, MonitorBlacklistsAndConverges)

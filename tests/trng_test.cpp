@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "common/rng.h"
 #include "dram/dram_channel.h"
 #include "trng/bit_quality.h"
 #include "trng/entropy_source.h"
@@ -126,6 +128,121 @@ TEST_F(BitQualityTest, SequentialBytesFailSerialCorrelation)
     for (std::size_t i = 0; i < ramp.size(); ++i)
         ramp[i] = static_cast<std::uint8_t>(i);
     EXPECT_FALSE(serialCorrelationTest(ramp).pass);
+}
+
+// Bit-serial references for the word-level monobit and runs tests: one
+// branch per bit, LSB-first within each byte. The production tests must
+// agree with them exactly, statistic and verdict.
+namespace {
+namespace ref {
+
+std::uint64_t
+countOnes(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t ones = 0;
+    for (std::uint8_t b : bytes)
+        for (unsigned i = 0; i < 8; ++i)
+            ones += (b >> i) & 1;
+    return ones;
+}
+
+TestResult
+monobitTest(const std::vector<std::uint8_t> &bytes)
+{
+    TestResult res;
+    const double n = static_cast<double>(bytes.size()) * 8.0;
+    if (n == 0.0)
+        return res;
+    const double ones = static_cast<double>(countOnes(bytes));
+    res.statistic = std::abs(2.0 * ones - n) / std::sqrt(n);
+    res.pass = res.statistic < 3.29;
+    return res;
+}
+
+TestResult
+runsTest(const std::vector<std::uint8_t> &bytes)
+{
+    TestResult res;
+    const std::size_t n_bits = bytes.size() * 8;
+    if (n_bits < 2)
+        return res;
+    auto bit_at = [&](std::size_t i) {
+        return (bytes[i / 8] >> (i % 8)) & 1;
+    };
+    std::uint64_t runs = 1;
+    for (std::size_t i = 1; i < n_bits; ++i)
+        if (bit_at(i) != bit_at(i - 1))
+            ++runs;
+    const double n = static_cast<double>(n_bits);
+    const double pi = static_cast<double>(countOnes(bytes)) / n;
+    const double expected = 2.0 * n * pi * (1.0 - pi) + 1.0;
+    const double variance =
+        2.0 * n * pi * (1.0 - pi) * (2.0 * pi * (1.0 - pi));
+    if (variance <= 0.0)
+        return res;
+    res.statistic =
+        std::abs(static_cast<double>(runs) - expected) / std::sqrt(variance);
+    res.pass = res.statistic < 3.29;
+    return res;
+}
+
+} // namespace ref
+
+void
+expectMatchesReference(const std::vector<std::uint8_t> &bytes)
+{
+    SCOPED_TRACE(::testing::Message() << "length " << bytes.size());
+    const TestResult mono = monobitTest(bytes);
+    const TestResult mono_ref = ref::monobitTest(bytes);
+    EXPECT_EQ(mono.statistic, mono_ref.statistic);
+    EXPECT_EQ(mono.pass, mono_ref.pass);
+    const TestResult runs = runsTest(bytes);
+    const TestResult runs_ref = ref::runsTest(bytes);
+    EXPECT_EQ(runs.statistic, runs_ref.statistic);
+    EXPECT_EQ(runs.pass, runs_ref.pass);
+}
+
+} // namespace
+
+TEST(BitQualityGolden, RandomBuffersMatchBitSerialReference)
+{
+    // Lengths 0..67 cover every length mod 8 and buffers with 0..8 whole
+    // 64-bit words, so the byte tail and the word boundaries are hit.
+    // Every third buffer is ones-sparse (density 1/4) so failing
+    // verdicts are compared too, not only passing ones.
+    Xoshiro256ss gen(0x5eed);
+    for (int i = 0; i < 2720; ++i) {
+        std::vector<std::uint8_t> bytes(static_cast<std::size_t>(i % 68));
+        for (std::uint8_t &b : bytes) {
+            std::uint64_t v = gen.next();
+            if (i % 3 == 0)
+                v &= gen.next();
+            b = static_cast<std::uint8_t>(v);
+        }
+        expectMatchesReference(bytes);
+    }
+}
+
+TEST(BitQualityGolden, CraftedBlocksMatchBitSerialReference)
+{
+    for (std::size_t len : {1u, 7u, 8u, 9u, 16u, 31u, 32u, 33u, 64u}) {
+        for (std::uint8_t fill : {0x00, 0xff, 0x55, 0xaa})
+            expectMatchesReference(std::vector<std::uint8_t>(len, fill));
+        // One 0 -> 1 transition, placed on every byte boundary in turn
+        // (every eighth one is also a 64-bit word boundary).
+        for (std::size_t cut = 1; cut < len; ++cut) {
+            std::vector<std::uint8_t> step(len, 0x00);
+            for (std::size_t b = cut; b < len; ++b)
+                step[b] = 0xff;
+            expectMatchesReference(step);
+        }
+    }
+    // The one transition sits exactly between 64-bit words 0 and 1 of a
+    // 256-bit audit block: bit 63 is 0, bit 64 is 1.
+    std::vector<std::uint8_t> block(32, 0x00);
+    for (std::size_t b = 8; b < block.size(); ++b)
+        block[b] = 0xff;
+    expectMatchesReference(block);
 }
 
 class RngEngineTest : public ::testing::Test
