@@ -3,11 +3,13 @@
  * Component microbenchmarks (google-benchmark): per-operation costs of
  * the simulator's hot paths — address decode, scheduler pick, predictor
  * ops, RNG engine ticks, buffer ops, trace generation, the TRNG round
- * audit (monobit/runs tests, fault-plane rounds), and a whole simulated
- * bus cycle.
+ * audit (monobit/runs tests, fault-plane rounds), the production
+ * horizon, and a whole simulated bus cycle.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "drstrange.h"
 #include "fault/fault_plane.h"
@@ -204,6 +206,25 @@ BM_FaultPlaneRound(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FaultPlaneRound);
+
+/** The production horizon of four D-RaNGe channels filling an empty
+ *  1024-bit buffer: the event is round 126 of their merged stream. */
+static void
+BM_ProductionHorizon(benchmark::State &state)
+{
+    const trng::TrngMechanism m = trng::TrngMechanism::dRange();
+    std::array<mem::Producer, 4> stream{};
+    for (unsigned ch = 0; ch < stream.size(); ++ch)
+        stream[ch] = {ch, m.roundLatency, m.bitsPerRound, ch, false};
+    double spare = 1024.0;
+    benchmark::DoNotOptimize(spare);
+    for (auto _ : state) {
+        std::array<mem::Producer, 4> producers = stream;
+        benchmark::DoNotOptimize(
+            mem::productionEvent(producers, std::nullopt, spare));
+    }
+}
+BENCHMARK(BM_ProductionHorizon);
 
 static void
 BM_SystemBusCycle(benchmark::State &state)

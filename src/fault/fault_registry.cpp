@@ -1,6 +1,7 @@
 #include "fault/fault_registry.h"
 
 #include <bit>
+#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -29,19 +30,29 @@ blockSeed(const RoundContext &ctx)
                  ctx.cell * kCellSalt ^ ctx.use * kUseSalt);
 }
 
+// Little-endian words: one 64-bit copy on little-endian hosts, a byte
+// loop elsewhere, so every host sees the same block bytes.
 void
 storeWord(AuditBlock &block, unsigned word, std::uint64_t v)
 {
-    for (unsigned b = 0; b < 8; ++b)
-        block[word * 8 + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(block.data() + word * 8, &v, sizeof v);
+    } else {
+        for (unsigned b = 0; b < 8; ++b)
+            block[word * 8 + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
 }
 
 std::uint64_t
 loadWord(const AuditBlock &block, unsigned word)
 {
     std::uint64_t v = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        v |= static_cast<std::uint64_t>(block[word * 8 + b]) << (8 * b);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, block.data() + word * 8, sizeof v);
+    } else {
+        for (unsigned b = 0; b < 8; ++b)
+            v |= static_cast<std::uint64_t>(block[word * 8 + b]) << (8 * b);
+    }
     return v;
 }
 

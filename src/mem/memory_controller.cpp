@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "dram/mapping_registry.h"
@@ -167,7 +168,6 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
             rngPolicy->markRngApp(req.core);
         if (buf && buf->canServe64(req.core)) {
             buf->serve64(req.core);
-            ++productionV; // Buffer level dropped.
             statistics.rngRequests++;
             statistics.rngServedFromBuffer++;
             statistics.sumRngLatency += cfg.bufferServeLatency;
@@ -197,7 +197,6 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         job.bitsCollected = stagingBits;
         stagingBits = 0.0;
         rngJobs.push_back(job);
-        ++productionV; // New front job possible; membership changed.
         return true;
     }
 
@@ -262,9 +261,6 @@ MemoryController::routeBits(double bits, Cycle now)
             if (onComplete)
                 onComplete(job.core, job.token, ReqType::Rng, job.path);
             rngJobs.pop_front();
-            // The completed job *was* the predicted production event;
-            // the next front job starts a new stream to model.
-            ++productionV;
         }
     }
     if (bits > 0.0 && buf)
@@ -590,10 +586,8 @@ MemoryController::tick(Cycle now)
                     (cs.greedyIdleCredit - cfg.periodThreshold) %
                             fillMech.roundLatency ==
                         0 &&
-                    !buf->full()) {
+                    !buf->full())
                     buf->deposit(fillMech.bitsPerRound);
-                    ++productionV; // Buffer level rose.
-                }
             }
             // Other idle channels keep their accrued credit paused.
         }
@@ -814,9 +808,8 @@ MemoryController::greedyNextEventCycle(Cycle now) const
 }
 
 void
-MemoryController::collectProducers(Cycle now) const
+MemoryController::collectProducers() const
 {
-    (void)now;
     producerScratch.clear();
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
         const trng::RngEngine &eng = *engines[ch];
@@ -843,99 +836,99 @@ MemoryController::collectProducers(Cycle now) const
 }
 
 Cycle
-MemoryController::productionEventCycle(Cycle now, Cycle bound) const
+productionEvent(std::span<Producer> producers,
+                std::optional<double> frontJobBits,
+                std::optional<double> spareBits)
 {
-    (void)now;
-    if (producerScratch.empty())
+    if (!frontJobBits && !spareBits)
         return kNoEvent;
 
-    // Memo hit: no unmodeled mutation happened (productionV), the
-    // event has not fired yet, and every producer is the cached one
-    // advanced an integral number of rounds along the modeled stream.
-    // Rounds completing inside the span — whether replayed by
-    // fastForward() or ticked normally — are exactly the rounds the
-    // walk modeled, and routeBits() replicates the walk's arithmetic
-    // bit for bit, so the predicted event survives them.
-    const auto cacheValid = [&]() -> bool {
-        if (prodCache.v != productionV + 1)
-            return false;
-        if (prodCache.event != kNoEvent && prodCache.event <= now)
-            return false; // Fired (e.g. a buffer-full checkpoint).
-        if (prodCache.producers.size() != producerScratch.size())
-            return false;
-        for (std::size_t i = 0; i < producerScratch.size(); ++i) {
-            const Producer &c = prodCache.producers[i];
-            const Producer &p = producerScratch[i];
-            if (p.ch != c.ch || p.period != c.period ||
-                p.bits != c.bits || p.oneShot != c.oneShot)
-                return false;
-            if (p.next == c.next)
-                continue;
-            // A one-shot (stopping) producer's single round either has
-            // not fired (next unchanged) or ended the producer (size
-            // mismatch above); any other drift is a restarted session.
-            if (p.oneShot || p.next < c.next ||
-                (p.next - c.next) % p.period != 0)
-                return false;
-        }
-        return true;
+    // Rounds before the event. A round completes the front job once
+    // (k + 1) * bits covers the 64 - collected it still needs; the
+    // buffer-full test fires once (k + 2) * bits covers the spare bits.
+    double bits = 0.0;
+    bool integral = true;
+    Cycle period = kNoEvent;
+    for (const Producer &p : producers) {
+        bits = std::max(bits, p.bits);
+        integral = integral && p.bits == std::floor(p.bits);
+        if (!p.oneShot)
+            period = std::min(period, p.period);
+    }
+    const double need = frontJobBits ? 64.0 - *frontJobBits : *spareBits;
+    double rounds = std::ceil(need / bits) - (frontJobBits ? 1.0 : 2.0);
+    // Fractional bits summed round by round may cross the threshold one
+    // round before exact arithmetic does.
+    if (!integral || need != std::floor(need))
+        rounds -= 1.0;
+    // A smaller count only ends the span earlier, which is always safe,
+    // so a NaN count (zero bits, nothing spare) means round 0.
+    constexpr double kMaxRounds = 0x1p40;
+    std::uint64_t k = static_cast<std::uint64_t>(
+        rounds >= kMaxRounds ? kMaxRounds : rounds > 0.0 ? rounds : 0.0);
+
+    // Round k of the merged stream, stage by stage: stage n runs from
+    // the n-th producer's first round to the next producer's. Each
+    // started periodic producer's next is kept at its first round at or
+    // after the stage start, at offset o < period, so a stage spanning
+    // `full` periods plus `rem` cycles holds `full` rounds of each such
+    // producer plus one more of each with o < rem, in offset order. A
+    // one-shot producer's single round opens its stage.
+    const auto by_next = [](const Producer &a, const Producer &b) {
+        return a.next < b.next;
     };
-    if (cacheValid())
-        return prodCache.event < bound ? prodCache.event : kNoEvent;
-    // The walk below advances producerScratch in place; snapshot first.
-    prodCache.producers = producerScratch;
-    prodCache.v = productionV + 1;
-
-    const Cycle event = [&]() -> Cycle {
-        const bool jobs = !rngJobs.empty();
-        // Front-job fill level, replicating routeBits's arithmetic.
-        double collected = jobs ? rngJobs.front().bitsCollected : 0.0;
-        // Without jobs, round bits deposit into the buffer; the deposit
-        // that fills it flips fill_capable and is therefore an event.
-        // The spare tracking here subtracts whole rounds (the buffer's
-        // own partition arithmetic may differ in the last ulps), so
-        // trigger one round early and let normal ticks handle the exact
-        // crossing.
-        double spare = 0.0;
-        if (!jobs) {
-            // Bufferless production is pure: staging absorbs everything.
-            if (!buf)
-                return kNoEvent;
-            spare = buf->capacityBits() - buf->levelBits();
-        }
-
-        for (unsigned step = 0; step < kMaxProductionSteps; ++step) {
-            std::size_t best = producerScratch.size();
-            for (std::size_t i = 0; i < producerScratch.size(); ++i) {
-                if (best == producerScratch.size() ||
-                    producerScratch[i].next < producerScratch[best].next)
-                    best = i;
+    std::sort(producers.begin(), producers.end(), by_next);
+    std::uint64_t started = 0;
+    for (std::size_t n = 1; n <= producers.size(); ++n) {
+        Producer &joined = producers[n - 1];
+        const Cycle start = joined.next;
+        if (!joined.oneShot)
+            ++started;
+        else if (k-- == 0)
+            return start;
+        else
+            joined.next = kNoEvent; // Its only round is spent.
+        if (n < producers.size()) {
+            const Cycle span = producers[n].next - start;
+            const Cycle full = span / period;
+            const Cycle rem = span % period;
+            std::uint64_t stage = started * full; // Rounds in the stage.
+            for (std::size_t i = 0; i < n; ++i) {
+                const Producer &p = producers[i];
+                stage += !p.oneShot && p.next - start < rem;
             }
-            Producer &p = producerScratch[best];
-            if (p.next == kNoEvent)
-                return kNoEvent; // Every one-shot producer consumed.
-            if (jobs) {
-                const double need = 64.0 - collected;
-                const double take = std::min(need, p.bits);
-                if (collected + take >= 64.0)
-                    return p.next; // The front job completes here.
-                collected += take;
-            } else if (buf) {
-                if (2.0 * p.bits >= spare)
-                    return p.next; // At/one round before buffer-full.
-                spare -= p.bits;
+            if (k >= stage) {
+                k -= stage;
+                for (std::size_t i = 0; i < n; ++i) {
+                    Producer &p = producers[i];
+                    if (!p.oneShot)
+                        p.next += (full + (p.next - start < rem)) * period;
+                }
+                continue;
             }
-            p.next = p.oneShot ? kNoEvent : p.next + p.period;
         }
-        // Too many rounds to prove quiescence further: checkpoint here
-        // and re-derive (the skip up to this point is already large).
-        Cycle checkpoint = kNoEvent;
-        for (const Producer &p : producerScratch)
-            checkpoint = std::min(checkpoint, p.next);
-        return checkpoint;
-    }();
+        if (started == 0)
+            return kNoEvent;
+        // Started producers sort first (spent one-shots hold kNoEvent).
+        std::sort(producers.begin(), producers.begin() + n, by_next);
+        return producers[k % started].next + k / started * period;
+    }
+    return kNoEvent;
+}
 
-    prodCache.event = event;
+Cycle
+MemoryController::productionEventCycle(Cycle bound) const
+{
+    // Without jobs, round bits deposit into the buffer; the deposit that
+    // fills it flips fill_capable and is therefore an event. Bufferless
+    // production is pure: staging absorbs everything.
+    std::optional<double> front;
+    std::optional<double> spare;
+    if (!rngJobs.empty())
+        front = rngJobs.front().bitsCollected;
+    else if (buf)
+        spare = buf->capacityBits() - buf->levelBits();
+    const Cycle event = productionEvent(producerScratch, front, spare);
     return event < bound ? event : kNoEvent;
 }
 
@@ -999,18 +992,18 @@ MemoryController::nextEventCycle(Cycle now) const
     }
 
     if (producing) {
-        collectProducers(now);
+        collectProducers();
         if (regular_prio || faultPlane) {
             // The span stops at the first round completion. While
             // regular traffic is prioritized, every completion resets
             // the live RNG stall counter; with a fault plane, every
             // completion is an audit that onRound() performs in a tick.
-            // The production walk only considers those completions and
-            // later ones, so it could not end the span any earlier.
+            // The production event is one of those completions, so it
+            // could not end the span any earlier.
             for (const Producer &p : producerScratch)
                 ev = std::min(ev, p.next);
         } else {
-            ev = std::min(ev, productionEventCycle(now, ev));
+            ev = std::min(ev, productionEventCycle(ev));
         }
         if (ev <= now)
             return now;
@@ -1042,7 +1035,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
     // each completed round's bits through the normal path. The horizon
     // guarantees none of these completes the front job or fills the
     // buffer, and that none is a round the fault plane must audit.
-    collectProducers(from);
+    collectProducers();
     if (!producerScratch.empty()) {
         // Switching-in engines also complete their (bit-less) switch
         // phase inside the span; start their stream at that transition.

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,42 @@ struct McConfig
 
     strange::RlIdlenessPredictor::Config rlConfig{};
 };
+
+/**
+ * One generating engine's round-completion stream: a stable (wind-free,
+ * management-quiescent) engine in Round or SwitchingIn produces `bits`
+ * every `period` cycles, the first batch landing on the tick at `next`.
+ */
+struct Producer
+{
+    Cycle next = 0;   ///< Tick cycle of the next round completion.
+    Cycle period = 0; ///< Round latency.
+    double bits = 0.0;
+    unsigned ch = 0;
+    /** Stopping engine: exactly one more round completes, then the
+     *  switch-out (whose end bounds the span) begins. */
+    bool oneShot = false;
+};
+
+/**
+ * Tick cycle of the first round completion in the merged stream of
+ * @p producers with a non-batchable effect: the one that finishes the
+ * front RNG job holding @p frontJobBits, or, without a job, the one
+ * that lands at or one round before filling a buffer with @p spareBits
+ * free bits (the one-round margin absorbs the buffer's own partition
+ * arithmetic). kNoEvent when there is no such completion.
+ *
+ * Closed form that loops over producers, never over rounds: the round
+ * count comes from the bits, the cycle from each producer's (next,
+ * period, oneShot). It is exact when every producer yields the same
+ * integral bit count with the same period. Otherwise it counts with the
+ * largest bits and the shortest period, one round fewer for fractional
+ * bits, so it may be early but is never late. Reorders and overwrites
+ * @p producers.
+ */
+Cycle productionEvent(std::span<Producer> producers,
+                      std::optional<double> frontJobBits,
+                      std::optional<double> spareBits);
 
 /** Aggregate controller statistics. */
 struct McStats
@@ -406,40 +443,17 @@ class MemoryController
      *  @p now when credit bookkeeping mutates state this cycle. */
     Cycle greedyNextEventCycle(Cycle now) const;
 
+    /** Collect the stable producers into producerScratch, in channel
+     *  order (the per-cycle tick order for equal completion cycles). */
+    void collectProducers() const;
     /**
-     * One steadily-generating engine's round-completion stream: a
-     * stable (wind-free, management-quiescent) engine in Round or
-     * SwitchingIn produces bitsPerRound every roundLatency cycles, the
-     * first batch landing on the tick at `next`.
+     * productionEvent() of producerScratch against the live front job
+     * or buffer, or kNoEvent when it is not below @p bound (earlier
+     * completions only accumulate). Overwrites producerScratch. Only
+     * consulted when spans may cross round completions: no fault plane
+     * is configured and regular traffic is not prioritized.
      */
-    struct Producer
-    {
-        Cycle next = 0;   ///< Tick cycle of the next round completion.
-        Cycle period = 0; ///< Round latency.
-        double bits = 0.0;
-        unsigned ch = 0;
-        /** Stopping engine: exactly one more round completes, then the
-         *  switch-out (whose end bounds the span) begins. */
-        bool oneShot = false;
-
-        bool operator==(const Producer &) const = default;
-    };
-    /** Collect the stable producers into producerScratch (time/ch
-     *  keyed exactly like the per-cycle tick order). */
-    void collectProducers(Cycle now) const;
-    /**
-     * First production tick in [now, bound) whose round completion has
-     * a non-batchable effect: finishing the front RNG job, or the
-     * deposit that makes the buffer full. kNoEvent when no such tick
-     * exists below @p bound (earlier completions only accumulate).
-     * Only consulted when spans may cross round completions: no fault
-     * plane is configured and regular traffic is not prioritized.
-     */
-    Cycle productionEventCycle(Cycle now, Cycle bound) const;
-
-    /** Iteration bound for production-stream simulation; reaching it
-     *  yields a conservative checkpoint event instead. */
-    static constexpr unsigned kMaxProductionSteps = 512;
+    Cycle productionEventCycle(Cycle bound) const;
 
     /** true when some channel is running a buffer-fill session. Fill
      *  uses one selected channel at a time (Section 5.1.1: "selects a
@@ -500,32 +514,6 @@ class MemoryController
 
     /** Scratch for collectProducers (avoids per-horizon allocation). */
     mutable std::vector<Producer> producerScratch;
-
-    /**
-     * Version of the production-relevant state the producer walk reads
-     * *besides* the producer snapshot itself: RNG-job membership and
-     * front-job fill level, and buffer level. Bumped at every mutation
-     * of those (routeBits, RNG enqueue paths, direct buffer
-     * deposits/serves).
-     */
-    std::uint64_t productionV = 0;
-    /**
-     * Memo of productionEventCycle()'s bound-independent walk result.
-     * The walk never reads its bound except to clamp — the candidate
-     * round cycles it considers are non-decreasing, so the bounded
-     * result equals the unbounded event iff that event lies below the
-     * bound. Engine phases are captured by comparing the producer
-     * snapshot; everything else bumps productionV. Horizon probes
-     * between round completions then reuse the cached event instead of
-     * re-simulating the production stream.
-     */
-    struct ProductionCache
-    {
-        std::uint64_t v = 0; ///< productionV + 1 at fill (0 = empty).
-        std::vector<Producer> producers; ///< Snapshot at fill time.
-        Cycle event = kNoEvent; ///< Unbounded walk result.
-    };
-    mutable ProductionCache prodCache;
 
     bool batchMode = false; ///< See setBatchMode().
     /** Per-channel {readQ, writeQ} horizon memos (see IssueHorizon). */

@@ -181,6 +181,7 @@ System::advanceUntil(Cycle end, bool stop_when_finished)
             (!svc || svc->drained()))
             return;
         if (ffEnabled && now >= probe_at) {
+            ffCounters.probes++;
             const Cycle horizon = nextEventCycle();
             const Cycle to = std::min(horizon, end);
             if (to <= now + 1) {
@@ -298,6 +299,7 @@ System::tryDrainController(Cycle end)
         if (now >= probe_at) {
             // Controller-only horizon: much cheaper than the full probe
             // and still able to skip intra-burst timing gaps.
+            ffCounters.probes++;
             const Cycle to = std::min(controller->nextEventCycle(now),
                                       bound);
             if (to > now + 1) {

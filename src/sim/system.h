@@ -96,6 +96,9 @@ class System
         /** Bus cycles where only the controller ticked (batch drain);
          *  the cores/service advanced analytically over them. */
         std::uint64_t drainTicks = 0;
+        /** Horizon probes: nextEventCycle() calls of the run loop plus
+         *  the batch drain's controller-only probes (skips <= probes). */
+        std::uint64_t probes = 0;
     };
     const FfStats &ffStats() const { return ffCounters; }
 

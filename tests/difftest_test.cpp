@@ -414,8 +414,8 @@ TEST(DiffTestEdge, FaultPlaneUseCountParity)
 /**
  * Horizon caches across outage edges: outage windows flip channel
  * availability, which must invalidate the controller's memoized issue
- * horizons and the production-event memo at both edges. A run spanning
- * several outage periods must stay bit-identical and still skip spans.
+ * horizons at both edges. A run spanning several outage periods must
+ * stay bit-identical and still skip spans.
  */
 TEST(DiffTestEdge, HorizonCacheAcrossOutageEdges)
 {

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -481,6 +483,171 @@ TEST(FastForwardHorizon, DisabledMatchesLegacyStepping)
     EXPECT_EQ(sys.ffStats().skips, 0u);
     EXPECT_EQ(sys.ffStats().skippedCycles, 0u);
     EXPECT_EQ(sys.ffStats().steppedCycles, sys.busCycles());
+}
+
+// ---------------------------------------------------------------------
+// Production horizon: the closed form against the round-by-round walk.
+// ---------------------------------------------------------------------
+
+/**
+ * The production walk that mem::productionEvent replaced, kept verbatim
+ * (bar its signature) as the reference: merge the producers' rounds one
+ * at a time and stop at the round that completes the front job or comes
+ * at/one round before buffer-full. After @p maxSteps rounds it returns
+ * the next round as a checkpoint (the controller capped it at 512).
+ */
+Cycle
+walkProductionEvent(std::vector<mem::Producer> producerScratch,
+                    std::optional<double> front, std::optional<double> buf,
+                    unsigned maxSteps)
+{
+    const bool jobs = front.has_value();
+    double collected = jobs ? *front : 0.0;
+    double spare = 0.0;
+    if (!jobs) {
+        if (!buf)
+            return kNoEvent;
+        spare = *buf;
+    }
+    for (unsigned step = 0; step < maxSteps; ++step) {
+        std::size_t best = producerScratch.size();
+        for (std::size_t i = 0; i < producerScratch.size(); ++i) {
+            if (best == producerScratch.size() ||
+                producerScratch[i].next < producerScratch[best].next)
+                best = i;
+        }
+        mem::Producer &p = producerScratch[best];
+        if (p.next == kNoEvent)
+            return kNoEvent; // Every one-shot producer consumed.
+        if (jobs) {
+            const double need = 64.0 - collected;
+            const double take = std::min(need, p.bits);
+            if (collected + take >= 64.0)
+                return p.next; // The front job completes here.
+            collected += take;
+        } else if (buf) {
+            if (2.0 * p.bits >= spare)
+                return p.next; // At/one round before buffer-full.
+            spare -= p.bits;
+        }
+        p.next = p.oneShot ? kNoEvent : p.next + p.period;
+    }
+    Cycle checkpoint = kNoEvent;
+    for (const mem::Producer &p : producerScratch)
+        checkpoint = std::min(checkpoint, p.next);
+    return checkpoint;
+}
+
+TEST(ProductionHorizon, ClosedFormMatchesWalk)
+{
+    // 1-4 producers with periods 5/119 (equal and mixed), first rounds
+    // up to three periods apart (switching-in engines), one-shot
+    // producers, integral/fractional/mixed bits; every front-job fill
+    // level 0-63 and spare buffer bits 0-1024 around the 2*bits edge.
+    SplitMix64 rng(15);
+    const std::vector<std::vector<double>> bit_sets = {
+        {8.0}, {1.0}, {64.0}, {512.0}, {8.5}, {2.75}, {8.0, 512.0}};
+    unsigned exact = 0, early = 0, checkpointed = 0, one_shot = 0;
+    for (unsigned trial = 0; trial < 1500; ++trial) {
+        const unsigned n = 1 + trial % 4;
+        const std::vector<double> &bit_set = bit_sets[trial % 7];
+        const unsigned period_mode = (trial / 7) % 3; // 5, 119, mixed.
+        std::vector<mem::Producer> ps(n);
+        bool uniform = true;
+        for (unsigned i = 0; i < n; ++i) {
+            mem::Producer &p = ps[i];
+            p.period = period_mode == 0   ? 5
+                       : period_mode == 1 ? 119
+                       : (rng.next() & 1) ? 5 : 119;
+            p.bits = bit_set[rng.next() % bit_set.size()];
+            p.ch = i;
+            p.oneShot = rng.next() % 4 == 0;
+            p.next = 1000 + rng.next() % (3 * p.period + 2);
+            uniform = uniform && p.period == ps[0].period &&
+                      p.bits == ps[0].bits;
+            one_shot += p.oneShot;
+        }
+        const bool integral =
+            uniform && ps[0].bits == std::floor(ps[0].bits);
+
+        const double b = ps[0].bits;
+        std::vector<double> spares = {0.0, 2 * b - 1, 2 * b, 2 * b + 1,
+                                      1023.0, 1024.0};
+        for (unsigned i = 0; i < 8; ++i)
+            spares.push_back(static_cast<double>(rng.next() % 1025));
+        std::vector<std::pair<std::optional<double>, std::optional<double>>>
+            cases;
+        for (unsigned c = 0; c < 64; ++c)
+            cases.emplace_back(static_cast<double>(c), std::nullopt);
+        if (!integral)
+            cases.emplace_back(63.25, std::nullopt);
+        for (const double s : spares)
+            if (s >= 0.0 && s <= 1024.0)
+                cases.emplace_back(std::nullopt, s);
+
+        for (const auto &[front, spare] : cases) {
+            std::vector<mem::Producer> scratch = ps;
+            const Cycle closed = mem::productionEvent(scratch, front, spare);
+            const Cycle walk = walkProductionEvent(ps, front, spare, 1u << 20);
+            const Cycle capped = walkProductionEvent(ps, front, spare, 512);
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << " front "
+                         << front.value_or(-1) << " spare "
+                         << spare.value_or(-1));
+            if (integral) {
+                // Equal to the walk below 512 rounds and to the
+                // uncapped walk beyond, where the old code checkpointed.
+                EXPECT_EQ(closed, walk);
+                if (capped != walk) {
+                    EXPECT_LT(capped, walk);
+                    ++checkpointed;
+                }
+                ++exact;
+            } else {
+                EXPECT_LE(closed, walk) << "later than the walk";
+                early += closed < walk;
+            }
+        }
+    }
+    EXPECT_GT(exact, 10000u);
+    EXPECT_GT(early, 0u);
+    EXPECT_GT(checkpointed, 0u);
+    EXPECT_GT(one_shot, 100u);
+}
+
+TEST(ProductionHorizon, NoTargetOrProducerMeansNoEvent)
+{
+    std::vector<mem::Producer> ps = {{10, 5, 8.0, 0, false}};
+    EXPECT_EQ(mem::productionEvent(ps, std::nullopt, std::nullopt),
+              kNoEvent);
+    std::vector<mem::Producer> none;
+    EXPECT_EQ(mem::productionEvent(none, 0.0, std::nullopt), kNoEvent);
+    // Two one-shot rounds cannot complete a job needing three.
+    const std::vector<mem::Producer> once = {{10, 5, 8.0, 0, true},
+                                             {12, 5, 8.0, 1, true}};
+    ps = once;
+    EXPECT_EQ(mem::productionEvent(ps, 40.0, std::nullopt), kNoEvent);
+    ps = once;
+    EXPECT_EQ(mem::productionEvent(ps, 48.0, std::nullopt), 12u);
+    // Zero-bit rounds against a full buffer: the walk's first round.
+    ps = {{10, 5, 0.0, 0, false}};
+    EXPECT_EQ(mem::productionEvent(ps, std::nullopt, 0.0), 10u);
+}
+
+TEST(FastForwardHorizon, ProbeCountRepeatsAndBoundsSkips)
+{
+    sim::SimConfig cfg = sim::designConfig(sim::SystemDesign::DrStrange);
+    cfg.instrBudget = 20000;
+    std::vector<sim::System::FfStats> runs;
+    for (unsigned i = 0; i < 2; ++i) {
+        sim::System sys(cfg, makeTraces(cfg, "gcc", 5120.0));
+        sys.run();
+        runs.push_back(sys.ffStats());
+    }
+    EXPECT_EQ(runs[0].probes, runs[1].probes);
+    EXPECT_EQ(runs[0].skips, runs[1].skips);
+    EXPECT_GT(runs[0].skips, 0u);
+    EXPECT_LE(runs[0].skips, runs[0].probes);
 }
 
 } // namespace
